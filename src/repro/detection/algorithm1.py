@@ -62,6 +62,20 @@ def check_general_concurrency_control(
     return machine.violations
 
 
+def _same_queues(current: SchedulingState, basis: SchedulingState) -> bool:
+    """True when ``current`` shares every queue object with ``basis``.
+
+    A quiescent monitor's snapshot is ``basis`` re-timed, so lists already
+    verified against ``basis`` provably match it.  States decoded from the
+    wire are equal but never identical and fall through to ``matches``."""
+    return (
+        current.running is basis.running
+        and current.entry_queue is basis.entry_queue
+        and current.urgent is basis.urgent
+        and current.cond_queues is basis.cond_queues
+    )
+
+
 class IncrementalConcurrencyChecker:
     """Algorithm-1 with per-monitor checking lists carried across windows.
 
@@ -77,7 +91,9 @@ class IncrementalConcurrencyChecker:
     * **fast path** (``fastpaths``): a carried window with zero events
       whose lists still equal the current snapshot can skip the whole
       membership comparison; only the snapshot witness and the timer
-      sweeps can fire.
+      sweeps can fire.  When the current snapshot is the verified one
+      re-timed (a quiescent monitor), the equality is proven by identity
+      and :meth:`~repro.detection.replay.ReplayMachine.matches` is skipped.
     * **rebase** (``rebases``): first window, a mismatch in the previous
       window, or a window fed out of sequence (e.g. right after crash
       recovery) — re-seed from ``s_p``, exactly like the oracle.
@@ -121,7 +137,9 @@ class IncrementalConcurrencyChecker:
             machine.rebase(segment.previous)
             self.rebases += 1
         current = segment.current
-        if carried and not segment.events and machine.matches(current):
+        if carried and not segment.events and (
+            _same_queues(current, segment.previous) or machine.matches(current)
+        ):
             self.fastpaths += 1
             machine.compare_unchanged(current, tmax=tmax, tio=tio)
             self._basis = current

@@ -773,7 +773,8 @@ class DetectionEngine:
             captures, self._pending_captures = self._pending_captures, []
             for capture in captures:
                 entry = capture.entry
-                check_started = perf_counter()
+                budget = entry.config.monitor_check_budget
+                check_started = perf_counter() if budget is not None else 0.0
                 try:
                     reports = entry.evaluate(capture)
                 except Exception as exc:  # noqa: BLE001 — quarantine, not crash
@@ -782,12 +783,12 @@ class DetectionEngine:
                         capture.taken_at, f"{type(exc).__name__}: {exc}"
                     )
                     continue
-                elapsed = perf_counter() - check_started
-                budget = entry.config.monitor_check_budget
-                if budget is not None and elapsed > budget:
+                if budget is not None and (
+                    took := perf_counter() - check_started
+                ) > budget:
                     entry.breaker.record_failure(
                         capture.taken_at,
-                        f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
+                        f"evaluation took {took:.4f}s > budget {budget:g}s",
                     )
                 else:
                     entry.breaker.record_success(capture.taken_at)

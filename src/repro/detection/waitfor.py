@@ -16,16 +16,14 @@ Request-Lists and state snapshots into one wait-for graph —
   and parked in one of its queues (entry queue or condition queue),
 * edges run from each waiter to every holder of the awaited resource —
 
-and reports every cycle (found with networkx) as a ``ST-WF`` violation
-naming the pids and monitors involved.
+and reports every elementary cycle (found by a depth-first search over the
+edges) as a ``ST-WF`` violation naming the pids and monitors involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import Iterable, Mapping, Optional
 
 from repro.detection.detector import FaultDetector
 from repro.detection.reports import FaultReport
@@ -42,6 +40,29 @@ class ResourceWaitEdge:
     waiter: Pid
     holder: Pid
     monitor: str
+
+
+def simple_cycles(graph: Mapping[Pid, Mapping[Pid, str]]) -> list[list[Pid]]:
+    """Every elementary cycle of ``graph``, each once.
+
+    A cycle is found from its smallest pid only (the search never steps to
+    a smaller one), so no rotation of it is reported twice."""
+    cycles: list[list[Pid]] = []
+    for root in sorted(graph):
+        path = [root]
+        branches = [iter(sorted(graph[root]))]
+        while branches:
+            for successor in branches[-1]:
+                if successor == root:
+                    cycles.append(list(path))
+                elif successor > root and successor not in path:
+                    path.append(successor)
+                    branches.append(iter(sorted(graph.get(successor, ()))))
+                    break
+            else:
+                branches.pop()
+                path.pop()
+    return cycles
 
 
 class DeadlockDetector:
@@ -91,11 +112,12 @@ class DeadlockDetector:
                         )
         return edges
 
-    def graph(self) -> "nx.DiGraph":
-        """The wait-for graph as a networkx digraph (nodes are pids)."""
-        graph = nx.DiGraph()
+    def graph(self) -> dict[Pid, dict[Pid, str]]:
+        """The wait-for graph as an adjacency mapping:
+        waiter -> {holder: monitor of the awaited resource}."""
+        graph: dict[Pid, dict[Pid, str]] = {}
         for edge in self.edges():
-            graph.add_edge(edge.waiter, edge.holder, monitor=edge.monitor)
+            graph.setdefault(edge.waiter, {})[edge.holder] = edge.monitor
         return graph
 
     # ---------------------------------------------------------------- checks
@@ -108,16 +130,17 @@ class DeadlockDetector:
                 (d.monitor.kernel.now() for d in self._detectors), default=0.0
             )
         new_reports: list[FaultReport] = []
-        for cycle in nx.simple_cycles(graph):
+        for cycle in simple_cycles(graph):
             ordered = tuple(sorted(cycle))
             if ordered in self.cycles:
                 continue  # already reported
             self.cycles.append(ordered)
             monitors = sorted(
                 {
-                    data["monitor"]
-                    for u, v, data in graph.edges(data=True)
-                    if u in cycle and v in cycle
+                    monitor
+                    for waiter in cycle
+                    for holder, monitor in graph[waiter].items()
+                    if holder in cycle
                 }
             )
             chain = " -> ".join(f"P{pid}" for pid in cycle + [cycle[0]])

@@ -210,7 +210,8 @@ class EventSink(abc.ABC):
                 f"checkpoint at t={current_state.time:g} precedes the last "
                 f"checkpoint at t={self._last_state.time:g}"
             )
-        self.flush_staged()
+        if self._staged:
+            self.flush_staged()
         segment = Segment(
             previous=self._last_state,
             events=self._drain(),

@@ -66,6 +66,17 @@ class SchedulingState:
             self, "cond_queues", MappingProxyType(dict(self.cond_queues))
         )
 
+    def retimed(
+        self, time: float, resource_count: Optional[int]
+    ) -> "SchedulingState":
+        """The same queues observed at ``time``: shares this snapshot's
+        frozen tuples and read-only mapping instead of re-copying them."""
+        state = object.__new__(type(self))
+        state.__dict__.update(
+            self.__dict__, time=time, resource_count=resource_count
+        )
+        return state
+
     # ------------------------------------------------------------- accessors
 
     @property

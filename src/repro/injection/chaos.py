@@ -809,9 +809,14 @@ def _run_crash_instance(
         rng=rng,
     )
     _spawn_crash_workload(kernel, buffer, allocator, config)
-    kernel.spawn(_crash_driver(context, config, plan), "crash-driver")
+    driver = kernel.spawn(_crash_driver(context, config, plan), "crash-driver")
     horizon = config.rounds * config.interval + 30.0
     result = kernel.run(until=horizon, max_steps=50_000_000)
+    # On a loaded host the thread backend's rounds outlast the horizon in
+    # wall time; closing the engine then would cut the driver off mid
+    # rebuild/recover.  The instance ends when the driver has finished.
+    while kernel.process(driver).alive and not result.deadlocked:
+        result = kernel.run(until=kernel.now() + horizon, max_steps=50_000_000)
     context.durable.close()
     return _CrashRunOutcome(
         keys=_comparison_keys(context.durable.reports, config.strict),

@@ -110,6 +110,11 @@ class MonitorCore:
             cond: deque() for cond in declaration.conditions
         }
         self._urgent: list[QueueEntry] = []
+        #: Bumped by every primitive that may move a queue entry; the
+        #: snapshot built at an unchanged count is re-timed, not rebuilt.
+        self._mutations = 0
+        self._last_snapshot: Optional[SchedulingState] = None
+        self._snapshot_mutations = 0
 
     # --------------------------------------------------------------- plumbing
 
@@ -179,6 +184,7 @@ class MonitorCore:
 
     def enter(self, pid: Pid, pname: Pname) -> Transition:
         """The Enter primitive: acquire mutually exclusive monitor access."""
+        self._mutations += 1
         self._check_procedure(pname)
         where = self._where(pid)
         if where is not None:
@@ -201,6 +207,7 @@ class MonitorCore:
 
     def wait(self, pid: Pid, cond: Cond) -> Transition:
         """The Wait primitive: block on a condition, releasing the monitor."""
+        self._mutations += 1
         self._check_condition(cond)
         entry = self._running_entry(pid, f"Wait({cond})")
         now = self._now()
@@ -227,6 +234,7 @@ class MonitorCore:
         With ``cond=None`` this is a plain Exit: no condition is signalled,
         flag is recorded 0, and the entry queue head (if any) is admitted.
         """
+        self._mutations += 1
         if cond is not None:
             self._check_condition(cond)
         entry = self._running_entry(pid, f"Signal-Exit({cond})")
@@ -275,6 +283,7 @@ class MonitorCore:
         * ``SIGNAL_AND_CONTINUE`` (Mesa) — the waiter is moved to the entry
           queue; the signaller keeps the monitor.
         """
+        self._mutations += 1
         discipline = self.declaration.discipline
         if discipline is Discipline.SIGNAL_EXIT:
             return self.signal_exit(pid, cond)
@@ -315,6 +324,7 @@ class MonitorCore:
         re-admitted as the monitor frees up.  Under the other disciplines a
         broadcast cannot preserve mutual exclusion, so it is rejected.
         """
+        self._mutations += 1
         if self.declaration.discipline is not Discipline.SIGNAL_AND_CONTINUE:
             raise MonitorUsageError(
                 f"broadcast requires the signal-and-continue discipline; "
@@ -341,6 +351,7 @@ class MonitorCore:
         *actual* state, it does not rewrite what happened.  Returns the
         pids to wake from the follow-up admission.
         """
+        self._mutations += 1
         entry = self._running_entry(pid, "Expel")
         self._running.remove(entry)
         return self._admit_next(self._now(), origin="signal-exit")
@@ -391,17 +402,33 @@ class MonitorCore:
     # --------------------------------------------------------------- snapshot
 
     def snapshot(self) -> SchedulingState:
-        """Capture the actual scheduling state (the checker's ``s_t``)."""
-        return SchedulingState(
-            time=self._now(),
+        """Capture the actual scheduling state (the checker's ``s_t``).
+
+        A quiescent monitor (no primitive ran since the last snapshot) gets
+        that snapshot re-timed: same frozen queue tuples and mapping, new
+        ``time`` and freshly probed ``R#`` — O(1) instead of O(state).
+        Like the primitives, it must run inside the kernel's atomic section
+        (``Monitor.snapshot`` and the engine's capture do), or a snapshot
+        torn by a concurrent primitive would be reused until the next one.
+        """
+        now = self._now()
+        resources = self._probe() if self._probe is not None else None
+        last = self._last_snapshot
+        if last is not None and self._snapshot_mutations == self._mutations:
+            return last.retimed(now, resources)
+        state = SchedulingState(
+            time=now,
             entry_queue=tuple(self._entry_queue),
             cond_queues={
                 cond: tuple(queue) for cond, queue in self._cond_queues.items()
             },
             running=tuple(self._running),
-            resource_count=self._probe() if self._probe is not None else None,
+            resource_count=resources,
             urgent=tuple(self._urgent),
         )
+        self._last_snapshot = state
+        self._snapshot_mutations = self._mutations
+        return state
 
     # ------------------------------------------------------------- inspection
 

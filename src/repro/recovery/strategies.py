@@ -150,7 +150,7 @@ class ResetQueuesStrategy(RecoveryStrategy):
         from repro.errors import UnknownProcessError
 
         cleared = []
-        for entry in monitor.core.snapshot().running:
+        for entry in monitor.snapshot().running:
             try:
                 record = monitor.kernel.process(entry.pid)
                 alive = record.alive

@@ -7,12 +7,17 @@ re-seeded, when the zero-event fast path may be used, and that the carried
 state round-trips through :meth:`state_dict` / :meth:`restore_state`.
 """
 
+import pytest
+
+from repro.detection import algorithm1
 from repro.detection.algorithm1 import (
     IncrementalConcurrencyChecker,
     check_general_concurrency_control,
 )
+from repro.detection.replay import ReplayMachine
 from repro.detection.rules import STRule
 from repro.history.events import enter_event, signal_exit_event
+from repro.history.serialize import state_from_dict, state_to_dict
 from repro.history.sink import Segment
 from repro.history.states import QueueEntry, SchedulingState
 from repro.monitor import MonitorDeclaration, MonitorType
@@ -114,6 +119,20 @@ class TestCarrySemantics:
         assert checker.hits == 4
 
 
+@pytest.fixture
+def matched(monkeypatch):
+    """Every state ``ReplayMachine.matches`` is asked about, in order."""
+    seen = []
+    original = ReplayMachine.matches
+
+    def spy(machine, current):
+        seen.append(current)
+        return original(machine, current)
+
+    monkeypatch.setattr(ReplayMachine, "matches", spy)
+    return seen
+
+
 class TestFastPath:
     def test_zero_event_window_takes_fast_path(self):
         checker = IncrementalConcurrencyChecker(declaration())
@@ -141,6 +160,32 @@ class TestFastPath:
             decl, Segment(first.current, (), late), tmax=10.0
         )
         assert reports == oracle
+
+    def test_retimed_snapshot_is_matched_by_identity(self, matched):
+        checker = IncrementalConcurrencyChecker(declaration())
+        first = clean_window(state(0.0), 0, 0.0)
+        checker.check_window(first)
+        matched.clear()
+        retimed = first.current.retimed(2.0, 3)
+        assert checker.check_window(Segment(first.current, (), retimed)) == []
+        assert checker.fastpaths == 1
+        assert matched == []
+
+    def test_wire_decoded_window_still_verifies(self, matched):
+        # The service and process planes decode every window from the
+        # wire: equal queues, never identical objects.  The fast path must
+        # still be taken, through matches().
+        checker = IncrementalConcurrencyChecker(declaration())
+        first = clean_window(state(0.0), 0, 0.0)
+        checker.check_window(first)
+        record = state_to_dict(first.current)
+        record["time"] = 2.0
+        decoded = state_from_dict(record)
+        assert not algorithm1._same_queues(decoded, first.current)
+        matched.clear()
+        assert checker.check_window(Segment(first.current, (), decoded)) == []
+        assert checker.fastpaths == 1
+        assert matched == [decoded]
 
     def test_zero_events_with_changed_state_is_not_fast_pathed(self):
         # Fault hooks can mutate state while suppressing the event record:

@@ -1,11 +1,19 @@
 """Tests for cross-monitor wait-for-graph deadlock detection."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps import SingleResourceAllocator
 from repro.apps.dining_philosophers import greedy_philosopher
 from repro.detection import DeadlockDetector, FaultClass, FaultDetector, STRule
 from repro.history import HistoryDatabase
+from repro.detection.waitfor import simple_cycles
 from repro.kernel import Delay, SimKernel
 
 
@@ -150,3 +158,64 @@ class TestDeadlockProcess:
         kernel.run(until=3.0)
         assert len(deadlocks.reports) == 1
         assert deadlocks.reports[0].detected_at <= 1.5  # within ~1 period
+
+
+def brute_force_cycles(graph):
+    """Every elementary cycle by enumeration, each starting at its min pid."""
+    nodes = sorted(graph)
+    found = []
+    for size in range(1, len(nodes) + 1):
+        for order in itertools.permutations(nodes, size):
+            if order[0] != min(order):
+                continue
+            hops = zip(order, order[1:] + order[:1])
+            if all(holder in graph[waiter] for waiter, holder in hops):
+                found.append(list(order))
+    return sorted(found)
+
+
+class TestCycleSearch:
+    def test_matches_enumeration_on_random_graphs(self):
+        rng = random.Random(7)
+        for __ in range(300):
+            pids = range(1, rng.randint(1, 6))
+            graph = {
+                waiter: {
+                    holder: "m"
+                    for holder in pids
+                    if holder != waiter and rng.random() < 0.4
+                }
+                for waiter in pids
+            }
+            assert sorted(simple_cycles(graph)) == brute_force_cycles(graph)
+
+    def test_holder_without_out_edges(self):
+        assert simple_cycles({1: {2: "a"}}) == []
+        assert simple_cycles({1: {2: "a"}, 2: {1: "b"}}) == [[1, 2]]
+
+    def test_graph_is_a_plain_mapping(self, fifo_kernel):
+        a, det_a = allocator_with_detector(fifo_kernel, "res-a")
+        b, det_b = allocator_with_detector(fifo_kernel, "res-b")
+
+        def crossing(first, second):
+            yield from first.request()
+            yield Delay(0.5)
+            yield from second.request()
+
+        p1 = fifo_kernel.spawn(crossing(a, b))
+        p2 = fifo_kernel.spawn(crossing(b, a))
+        fifo_kernel.run(until=2.0)
+        graph = DeadlockDetector([det_a, det_b]).graph()
+        assert graph == {p1: {p2: "res-b"}, p2: {p1: "res-a"}}
+
+
+def test_package_imports_without_networkx():
+    # The package declares no dependencies; a graph library must not be
+    # needed to import it.
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; sys.modules['networkx'] = None; import repro"
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr

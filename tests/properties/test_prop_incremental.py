@@ -11,6 +11,12 @@ once per mode, and the two engines' report streams must compare equal —
 including under forced sink drops (degraded windows + Algorithm-2
 ``resync``) and injected faults.
 
+The identity-proven match (a quiescent monitor's re-timed snapshot shares
+its queues with the verified one, so ``ReplayMachine.matches`` is skipped)
+must only skip work: every scenario is run a third time with it disabled,
+and the Algorithm-1 hit/rebase/fast-path counts and the report stream
+must come out the same.
+
 The sim kernel makes the pairing sound: evaluation is pure computation
 with no feedback into the schedule, so same seed ⇒ same event stream on
 both sides.
@@ -18,12 +24,14 @@ both sides.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import BoundedBuffer
-from repro.detection import DetectorConfig
+from repro.detection import DetectorConfig, algorithm1
 from repro.detection.engine import DetectionEngine, engine_process
 from repro.history import BoundedHistory, HistoryDatabase
 from repro.injection import TriggeredHooks
@@ -113,6 +121,23 @@ def assert_equivalent(incremental: DetectionEngine, full: DetectionEngine):
     )
 
 
+def checker_counts(engine: DetectionEngine) -> tuple[int, int, int]:
+    return (
+        engine.incremental_hits,
+        engine.incremental_rebases,
+        engine.incremental_fastpaths,
+    )
+
+
+def assert_identity_match_invisible(incremental: DetectionEngine, rerun):
+    """Re-run with every zero-event window verified through ``matches()``:
+    the counts and the report stream must not move."""
+    with mock.patch.object(algorithm1, "_same_queues", return_value=False):
+        verified = rerun()
+    assert checker_counts(incremental) == checker_counts(verified)
+    assert incremental.reports == verified.reports
+
+
 class TestCleanFleets:
     """Clean multi-monitor fleets: all three scenario/monitor classes."""
 
@@ -121,6 +146,9 @@ class TestCleanFleets:
         incremental = run_fleet(seed, incremental=True)
         full = run_fleet(seed, incremental=False)
         assert_equivalent(incremental, full)
+        assert_identity_match_invisible(
+            incremental, lambda: run_fleet(seed, incremental=True)
+        )
         # The hot path must actually engage for the test to mean anything.
         assert incremental.incremental_hits > 0
 
@@ -138,14 +166,33 @@ class TestCleanFleets:
             seed, incremental=False, count=count, interval=interval
         )
         assert_equivalent(incremental, full)
+        assert_identity_match_invisible(
+            incremental,
+            lambda: run_fleet(
+                seed, incremental=True, count=count, interval=interval
+            ),
+        )
 
     def test_idle_tail_takes_the_fast_path(self):
         # Run far past workload completion: the trailing checkpoints see
         # zero new events and verified-unchanged lists.
-        incremental = run_fleet(3, incremental=True, until=200.0)
+        real = algorithm1._same_queues
+        proven = []
+
+        def same_queues(current, basis):
+            proven.append(real(current, basis))
+            return proven[-1]
+
+        with mock.patch.object(algorithm1, "_same_queues", same_queues):
+            incremental = run_fleet(3, incremental=True, until=200.0)
         full = run_fleet(3, incremental=False, until=200.0)
         assert_equivalent(incremental, full)
         assert incremental.incremental_fastpaths > 0
+        # Quiescent monitors' windows are proven by identity.
+        assert any(proven)
+        assert_identity_match_invisible(
+            incremental, lambda: run_fleet(3, incremental=True, until=200.0)
+        )
 
 
 class TestDropsAndResync:
@@ -163,6 +210,12 @@ class TestDropsAndResync:
             seed, incremental=False, sink_factory=tiny_sink, interval=1.0
         )
         assert_equivalent(incremental, full)
+        assert_identity_match_invisible(
+            incremental,
+            lambda: run_fleet(
+                seed, incremental=True, sink_factory=tiny_sink, interval=1.0
+            ),
+        )
         # These runs must actually be lossy, and the cumulative-counter
         # checker must have re-based, or the scenario tests nothing.
         assert incremental.dropped_events > 0
@@ -198,6 +251,12 @@ class TestInjectedFaults:
         )
         assert hooks_a.fired == hooks_b.fired
         assert_equivalent(incremental, full)
+        assert_identity_match_invisible(
+            incremental,
+            lambda: run_buffer_with_hooks(
+                seed, incremental=True, perturbation=perturbation, fire_at=2
+            )[0],
+        )
         if hooks_a.fired:
             assert incremental.reports, (
                 f"activated {perturbation} went undetected"
