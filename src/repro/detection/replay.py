@@ -26,7 +26,6 @@ admit the entry-queue head.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.detection.reports import FaultReport
@@ -138,6 +137,10 @@ class ReplayMachine:
         }
         self.running: list[QueueEntry] = list(base_state.running)
         self.urgent: list[QueueEntry] = list(base_state.urgent)
+        #: Multiset of the pids on Enter-0-List, every Wait-Cond-List and
+        #: the urgent list: ST-Rule 4's membership test in O(1).
+        self._blocked: dict[Pid, int] = {}
+        self._reindex()
         self.violations: list[FaultReport] = []
         self._window_start = base_state.time
 
@@ -170,6 +173,7 @@ class ReplayMachine:
                 queue.clear()
         self.running[:] = base_state.running
         self.urgent[:] = base_state.urgent
+        self._reindex()
         self._window_start = base_state.time
 
     def matches(self, state: SchedulingState) -> bool:
@@ -238,7 +242,27 @@ class ReplayMachine:
 
     # ------------------------------------------------------------ list helpers
 
+    def _reindex(self) -> None:
+        """Rebuild the blocked-pid multiset from the blocking lists."""
+        self._blocked.clear()
+        for queue in (self.enter0, *self.wait_cond.values(), self.urgent):
+            for entry in queue:
+                self._block(entry.pid)
+
+    def _block(self, pid: Pid) -> None:
+        blocked = self._blocked
+        blocked[pid] = blocked.get(pid, 0) + 1
+
+    def _unblock(self, pid: Pid) -> None:
+        blocked = self._blocked
+        count = blocked[pid] - 1
+        if count:
+            blocked[pid] = count
+        else:
+            del blocked[pid]
+
     def _blocked_location(self, pid: Pid) -> Optional[str]:
+        """Name the first blocking list holding ``pid`` (report wording)."""
         if any(e.pid == pid for e in self.enter0):
             return "Enter-0-List"
         for cond, queue in self.wait_cond.items():
@@ -260,39 +284,41 @@ class ReplayMachine:
             return
         if self.urgent:
             entry = self.urgent.pop()
-            self.running.append(replace(entry, since=time))
         elif self.enter0:
             entry = self.enter0.pop(0)
-            self.running.append(replace(entry, since=time))
+        else:
+            return
+        self._unblock(entry.pid)
+        self.running.append(QueueEntry(entry.pid, entry.pname, time))
 
     # ----------------------------------------------------------- event replay
 
     def process(self, event: SchedulingEvent) -> None:
         """Replay one event, appending any rule violations found."""
-        location = self._blocked_location(event.pid)
-        if location is not None:
+        kind = event.kind
+        if event.pid in self._blocked:
             self._report(
                 STRule.EVENT_WHILE_BLOCKED,
-                f"P{event.pid} generated {event.kind.value} while on the "
-                f"{location}: a blocked process cannot act (it was resumed "
-                "without being admitted)",
+                f"P{event.pid} generated {kind.value} while on the "
+                f"{self._blocked_location(event.pid)}: a blocked process "
+                "cannot act (it was resumed without being admitted)",
                 time=event.time,
                 pids=(event.pid,),
                 event_seq=event.seq,
             )
-        if event.kind is EventKind.ENTER:
+        if kind is EventKind.ENTER:
             self._replay_enter(event)
-        elif event.kind is EventKind.WAIT:
+        elif kind is EventKind.WAIT:
             self._replay_wait(event)
-        elif event.kind is EventKind.SIGNAL_EXIT:
+        elif kind is EventKind.SIGNAL_EXIT:
             self._replay_signal_exit(event)
-        elif event.kind is EventKind.SIGNAL:
+        elif kind is EventKind.SIGNAL:
             self._replay_signal(event)
         if len(self.running) > 1:
             self._report(
                 STRule.ONE_INSIDE,
                 f"{len(self.running)} processes inside the monitor after "
-                f"{event.kind.value} by P{event.pid}: "
+                f"{kind.value} by P{event.pid}: "
                 f"{[e.pid for e in self.running]}",
                 time=event.time,
                 pids=tuple(e.pid for e in self.running),
@@ -329,10 +355,21 @@ class ReplayMachine:
                     event_seq=event.seq,
                 )
             self.enter0.append(entry)
+            self._block(event.pid)
 
-    def _check_caller_running(self, event: SchedulingEvent) -> bool:
-        if any(e.pid == event.pid for e in self.running):
-            return True
+    def _check_caller_running(self, event: SchedulingEvent) -> None:
+        pid = event.pid
+        for entry in self.running:
+            if entry.pid == pid:
+                return
+        self._report_caller_not_running(event)
+
+    def _take_caller(self, event: SchedulingEvent) -> None:
+        """Take the releasing caller off the Running-List (ST-Rule 3b)."""
+        if self._remove_running(event.pid) is None:
+            self._report_caller_not_running(event)
+
+    def _report_caller_not_running(self, event: SchedulingEvent) -> None:
         self._report(
             STRule.CALLER_IS_RUNNING,
             f"P{event.pid} issued {event.kind.value} but the Running-List "
@@ -342,21 +379,17 @@ class ReplayMachine:
             pids=(event.pid,),
             event_seq=event.seq,
         )
-        return False
 
     def _replay_wait(self, event: SchedulingEvent) -> None:
-        was_running = self._check_caller_running(event)
-        if was_running:
-            self._remove_running(event.pid)
+        self._take_caller(event)
         assert event.cond is not None  # enforced by the event constructor
         queue = self.wait_cond.setdefault(event.cond, [])
         queue.append(QueueEntry(event.pid, event.pname, event.time))
+        self._block(event.pid)
         self._admit_next(event.time)
 
     def _replay_signal_exit(self, event: SchedulingEvent) -> None:
-        was_running = self._check_caller_running(event)
-        if was_running:
-            self._remove_running(event.pid)
+        self._take_caller(event)
         if event.flag == 1:
             queue = self.wait_cond.get(event.cond or "", [])
             if event.cond is None or not queue:
@@ -371,7 +404,10 @@ class ReplayMachine:
                 self._admit_next(event.time)
             else:
                 waiter = queue.pop(0)
-                self.running.append(replace(waiter, since=event.time))
+                self._unblock(waiter.pid)
+                self.running.append(
+                    QueueEntry(waiter.pid, waiter.pname, event.time)
+                )
         else:
             if event.cond is not None and self.wait_cond.get(event.cond):
                 self._report(
@@ -414,15 +450,21 @@ class ReplayMachine:
             )
             return
         waiter = queue.pop(0)
+        self._unblock(waiter.pid)
+        resumed = QueueEntry(waiter.pid, waiter.pname, event.time)
         if discipline is Discipline.SIGNAL_AND_WAIT:
             signaller = self._remove_running(event.pid)
             if signaller is not None:
-                self.urgent.append(replace(signaller, since=event.time))
-            self.running.append(replace(waiter, since=event.time))
+                self.urgent.append(
+                    QueueEntry(signaller.pid, signaller.pname, event.time)
+                )
+                self._block(signaller.pid)
+            self.running.append(resumed)
         else:
             # Mesa: the waiter re-queues at the entry queue tail; the
             # signaller keeps the monitor.
-            self.enter0.append(replace(waiter, since=event.time))
+            self.enter0.append(resumed)
+            self._block(waiter.pid)
 
     # ----------------------------------------------------- checkpoint compare
 

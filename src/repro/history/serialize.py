@@ -195,22 +195,26 @@ def events_from_wire(records) -> tuple:
     """Batch :func:`event_from_dict`: one tight loop, no per-record
     dispatch.  Decoding is the dominant cost of shipping a checking
     window to an evaluator worker process, so the common shape is
-    decoded without the per-event ``kind`` check; malformed input falls
-    back to :func:`event_from_dict` for its precise error."""
+    decoded positionally without the per-event ``kind`` check (the
+    event's own ``__post_init__`` still validates it); malformed input
+    falls back to :func:`event_from_dict` for its precise error."""
     kinds = _EVENT_KINDS
+    event = SchedulingEvent
     get = dict.get
     try:
         return tuple(
-            SchedulingEvent(
-                seq=record["seq"],
-                kind=kinds[record["event"]],
-                pid=record["pid"],
-                pname=record["pname"],
-                time=record["time"],
-                flag=record["flag"],
-                cond=get(record, "cond"),
-            )
-            for record in records
+            [
+                event(
+                    record["seq"],
+                    kinds[record["event"]],
+                    record["pid"],
+                    record["pname"],
+                    record["time"],
+                    record["flag"],
+                    get(record, "cond"),
+                )
+                for record in records
+            ]
         )
     except (KeyError, TypeError, ValueError):
         return tuple(event_from_dict(record) for record in records)

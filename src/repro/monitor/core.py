@@ -29,7 +29,7 @@ Two cross-cutting concerns are threaded through every transition:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -257,14 +257,14 @@ class MonitorCore:
         if not self._hooks.sigexit_hold_monitor(pid):
             self._running.remove(entry)
         if waiter is not None:
-            self._running.append(replace(waiter, since=now))
+            self._running.append(QueueEntry(waiter.pid, waiter.pname, now))
             wake.append(waiter.pid)
             if (
                 self._hooks.admission_admit_extra("signal-exit-handoff")
                 and self._entry_queue
             ):
                 extra = self._entry_queue.popleft()
-                self._running.append(replace(extra, since=now))
+                self._running.append(QueueEntry(extra.pid, extra.pname, now))
                 wake.append(extra.pid)
         else:
             wake.extend(self._admit_next(now, origin="signal-exit"))
@@ -302,14 +302,14 @@ class MonitorCore:
                 lambda seq: signal_event(seq, pid, entry.pname, cond, now, 1)
             )
             self._running.remove(entry)
-            self._urgent.append(replace(entry, since=now))
-            self._running.append(replace(waiter, since=now))
+            self._urgent.append(QueueEntry(entry.pid, entry.pname, now))
+            self._running.append(QueueEntry(waiter.pid, waiter.pname, now))
             return Transition(caller_blocks=True, wake=(waiter.pid,), event=event)
         # SIGNAL_AND_CONTINUE
         flag = 0
         if queue:
             waiter = queue.popleft()
-            self._entry_queue.append(replace(waiter, since=now))
+            self._entry_queue.append(QueueEntry(waiter.pid, waiter.pname, now))
             flag = 1
         event = self._record(
             lambda seq: signal_event(seq, pid, entry.pname, cond, now, flag)
@@ -338,7 +338,7 @@ class MonitorCore:
         last_event: Optional[SchedulingEvent] = None
         while queue:
             waiter = queue.popleft()
-            self._entry_queue.append(replace(waiter, since=now))
+            self._entry_queue.append(QueueEntry(waiter.pid, waiter.pname, now))
             last_event = self._record(
                 lambda seq: signal_event(seq, pid, entry.pname, cond, now, 1)
             )
@@ -382,12 +382,14 @@ class MonitorCore:
         elif self._entry_queue:
             chosen = self._pop_entry_honouring_victims()
         if chosen is not None:
-            self._running.append(replace(chosen, since=now))
+            self._running.append(QueueEntry(chosen.pid, chosen.pname, now))
             wake.append(chosen.pid)
             if self._hooks.admission_admit_extra(origin) and self._entry_queue:
                 extra = self._pop_entry_honouring_victims()
                 if extra is not None:
-                    self._running.append(replace(extra, since=now))
+                    self._running.append(
+                        QueueEntry(extra.pid, extra.pname, now)
+                    )
                     wake.append(extra.pid)
         return wake
 
